@@ -66,9 +66,10 @@ double alltoall_us(baseline::StackImpl impl, int nodes, size_t block,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using Kind = util::CliFlags::Kind;
   util::CliFlags flags;
-  flags.define("block", "64", "bytes per rank pair");
-  flags.define("iters", "10", "iterations");
+  flags.define("block", "64", "bytes per rank pair", Kind::kSize);
+  flags.define("iters", "10", "iterations", Kind::kInt);
   if (auto st = flags.parse(argc, argv); !st.is_ok()) {
     std::fprintf(stderr, "%s\n", st.to_string().c_str());
     return 2;

@@ -209,16 +209,19 @@ void run_json(const std::string& path, uint64_t min_size, uint64_t max_size,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using Kind = util::CliFlags::Kind;
   util::CliFlags flags;
   flags.define("net", "all", "network: mx, quadrics, or all");
-  flags.define("min", "4", "smallest message size");
-  flags.define("max", "2M", "largest message size");
+  flags.define("min", "4", "smallest message size", Kind::kSize);
+  flags.define("max", "2M", "largest message size", Kind::kSize);
   flags.define_bool("csv", false, "emit CSV instead of a table");
   flags.define_bool("plot", false, "render ASCII log-log figures");
   flags.define("fault-drop", "0",
                "frame/bulk drop probability (> 0 enables the reliability "
-               "layer and restricts to madmpi)");
-  flags.define("fault-seed", "1", "deterministic fault-injection seed");
+               "layer and restricts to madmpi)",
+               Kind::kDouble);
+  flags.define("fault-seed", "1", "deterministic fault-injection seed",
+               Kind::kInt);
   flags.define_bool("reliable", false,
                     "enable the ack/retransmit layer even with no faults "
                     "(measures its zero-loss overhead)");
@@ -234,7 +237,8 @@ int main(int argc, char** argv) {
                "write a machine-readable artifact (mean/p99/p999/max per "
                "net x impl x size row) to this path and exit");
   flags.define("iters", "200",
-               "per-round samples in --json mode (tail sharpness)");
+               "per-round samples in --json mode (tail sharpness)",
+               Kind::kInt);
   if (auto st = flags.parse(argc, argv); !st.is_ok()) {
     std::fprintf(stderr, "%s\n", st.to_string().c_str());
     flags.print_help(argv[0]);

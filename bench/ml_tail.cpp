@@ -386,14 +386,17 @@ void json_row(std::FILE* f, bool first, const std::string& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using Kind = util::CliFlags::Kind;
   util::CliFlags flags;
   flags.define("scenario", "all",
                "allreduce, incast, gray, crash, or all");
   flags.define("size", "64K",
                "bucket slice / gradient size per message (rendezvous path "
-               "needs >= 4K)");
-  flags.define("rounds", "200", "timed rounds per cell (tail sharpness)");
-  flags.define("warmup", "3", "untimed warmup rounds");
+               "needs >= 4K)",
+               Kind::kSize);
+  flags.define("rounds", "200", "timed rounds per cell (tail sharpness)",
+               Kind::kInt);
+  flags.define("warmup", "3", "untimed warmup rounds", Kind::kInt);
   flags.define_bool("csv", false, "emit CSV instead of a table");
   flags.define("json", "", "also write a machine-readable artifact here");
   if (auto st = flags.parse(argc, argv); !st.is_ok()) {

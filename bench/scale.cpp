@@ -338,12 +338,16 @@ EndToEndRow run_soak(double soak_us) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using Kind = util::CliFlags::Kind;
   util::CliFlags flags;
-  flags.define("ops", "300000", "ops per queue-micro measurement");
-  flags.define("ranks", "1024", "alltoall rank count (power of two)");
+  flags.define("ops", "300000", "ops per queue-micro measurement",
+               Kind::kInt);
+  flags.define("ranks", "1024", "alltoall rank count (power of two)",
+               Kind::kInt);
   flags.define("soak-us", "20000",
                "virtual µs the soak scenario must sustain (~5k barrier "
-               "rounds at the default; raise for a long-haul run)");
+               "rounds at the default; raise for a long-haul run)",
+               Kind::kDouble);
   flags.define("json", "",
                "write the machine-readable artifact (BENCH_scale.json) "
                "to this path");

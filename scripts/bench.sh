@@ -5,12 +5,6 @@
 #   BENCH_fig2.json    — raw ping-pong, mean + p99/p999/max per
 #                        (net, impl, size) row, virtual-clock timing
 #                        (exactly reproducible run-to-run);
-#   BENCH_wall.json    — the same ping-pong sweep on the wall clock:
-#                        two Cores on WallClockRuntimes over the
-#                        threaded shared-memory rail, real host
-#                        microseconds (host-dependent, indicative only —
-#                        its role is proving the engine runs unmodified
-#                        on real time);
 #   BENCH_fig3.json    — multi-segment ping-pong latency + MAD-MPI gain
 #                        per (net, segments, impl, size) row;
 #   BENCH_fig4.json    — indexed-datatype transfer time + gain per
@@ -40,11 +34,10 @@ if [ ! -d "$BUILD" ]; then
   cmake -B "$BUILD" -S .
 fi
 cmake --build "$BUILD" -j --target \
-  fig2_pingpong fig2_wall fig3_multiseg fig4_datatype micro_engine ml_tail \
+  fig2_pingpong fig3_multiseg fig4_datatype micro_engine ml_tail \
   scale
 
 "$BUILD"/bench/fig2_pingpong --json=BENCH_fig2.json --iters=200
-"$BUILD"/bench/fig2_wall --json=BENCH_wall.json --iters=100
 "$BUILD"/bench/fig3_multiseg --json=BENCH_fig3.json
 "$BUILD"/bench/fig4_datatype --json=BENCH_fig4.json
 
@@ -74,5 +67,5 @@ assert speedup >= 5.0, \
 print(f"scale gate: {speedup:.2f}x over the heap baseline at 1k ranks")
 PY
 
-echo "artifacts: BENCH_fig2.json BENCH_wall.json BENCH_fig3.json" \
+echo "artifacts: BENCH_fig2.json BENCH_fig3.json" \
      "BENCH_fig4.json BENCH_micro.json BENCH_ml_tail.json BENCH_scale.json"

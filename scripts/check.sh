@@ -102,10 +102,11 @@ cmake -B "$BUILD_DIR" -S . -DNMAD_SANITIZE=ON \
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
-# Thread tier: the wall-clock stack (rings, timer wheel + pump thread,
-# shm driver with its per-endpoint pump threads) rebuilt under TSan and
-# run alone — the virtual-clock tests are single-threaded by design, so
-# only the threaded targets pay the ~10x TSan tax.
+# Thread tier: the wall-clock stack (lock-free rings, the timer wheel,
+# the shm driver driven by whichever thread waits, and two threads
+# waiting on their own nodes under exec-lock try_lock) rebuilt under
+# TSan and run alone — the virtual-clock tests are single-threaded by
+# design, so only the threaded targets pay the ~10x TSan tax.
 TSAN_DIR=${TSAN_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DNMAD_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

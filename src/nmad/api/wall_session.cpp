@@ -1,11 +1,21 @@
 #include "nmad/api/wall_session.hpp"
 
 #include <chrono>
-#include <thread>
+#include <mutex>
 
 #include "util/assert.hpp"
 
 namespace nmad::api {
+
+namespace {
+
+double elapsed_us(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+}  // namespace
 
 WallCluster::WallCluster(Options options)
     : wait_timeout_us_(options.wait_timeout_us) {
@@ -20,7 +30,7 @@ WallCluster::WallCluster(Options options)
     auto core =
         std::make_unique<core::Core>(*runtimes_.back(), options.core);
     auto driver = std::make_unique<drivers::ShmDriver>(
-        *hub_, static_cast<drivers::PeerAddr>(n), *runtimes_.back());
+        *hub_, static_cast<drivers::PeerAddr>(n));
     const util::Status st = core->add_rail(std::move(driver));
     NMAD_ASSERT_MSG(st.is_ok(), "shm rail setup failed");
     cores_.push_back(std::move(core));
@@ -40,8 +50,22 @@ WallCluster::WallCluster(Options options)
 }
 
 WallCluster::~WallCluster() {
-  // Engines first (their dtors cancel timers into the runtimes and shut
-  // the drivers' pump threads down), runtimes and hub after.
+  // Settle first. A waiter returns as soon as its request completes, so
+  // a control packet (a CTS, say) may still await the consume token that
+  // returns it to its engine's pool; drive every node until all are
+  // drained, bounded like a wait.
+  const auto start = std::chrono::steady_clock::now();
+  for (bool settled = false;
+       !settled && elapsed_us(start) < wait_timeout_us_;) {
+    settled = true;
+    for (size_t n = 0; n < cores_.size(); ++n) {
+      runtime::ExecGuard guard(*runtimes_[n]);
+      progress(n);
+      settled = settled && cores_[n]->drained();
+    }
+  }
+  // Engines next (their dtors cancel timers into the runtimes), runtimes
+  // and hub after.
   cores_.clear();
   runtimes_.clear();
 }
@@ -67,21 +91,30 @@ core::Request* WallCluster::post_recv(size_t node, core::GateId gate,
   });
 }
 
+void WallCluster::progress(size_t node) {
+  cores_[node]->poll();
+  runtimes_[node]->advance();
+}
+
 void WallCluster::wait(size_t node, core::Request* req) {
   NMAD_ASSERT(req != nullptr);
   const auto start = std::chrono::steady_clock::now();
   for (;;) {
     {
       runtime::ExecGuard guard(*runtimes_[node]);
+      progress(node);
       if (req->done()) return;
     }
-    const double waited_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    NMAD_ASSERT_MSG(waited_us < wait_timeout_us_,
+    // Help the peers along: a single thread may be driving every node,
+    // and try_lock never queues behind a thread waiting elsewhere.
+    for (size_t n = 0; n < runtimes_.size(); ++n) {
+      if (n == node) continue;
+      std::unique_lock<runtime::WallClockRuntime> peer(*runtimes_[n],
+                                                       std::try_to_lock);
+      if (peer.owns_lock()) progress(n);
+    }
+    NMAD_ASSERT_MSG(elapsed_us(start) < wait_timeout_us_,
                     "wall-clock request made no progress (protocol wedge)");
-    std::this_thread::sleep_for(std::chrono::microseconds(5));
   }
 }
 

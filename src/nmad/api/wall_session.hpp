@@ -3,11 +3,11 @@
 //
 // WallCluster is the wall-clock twin of Cluster: it owns one
 // WallClockRuntime and one Core per endpoint, wires them over a shared
-// ShmHub rail, and opens gates between every pair. Because the shm pump
-// threads and each runtime's timer thread enter the engine concurrently
-// with the application, every engine call must hold that endpoint's exec
-// lock — the locked() helper and the post/wait wrappers below do exactly
-// that, so callers never touch a Core bare.
+// ShmHub rail, and opens gates between every pair. Nothing runs in the
+// background: the thread that waits drives the engines (see wait()).
+// Every engine call holds the endpoint's exec lock — the locked() helper
+// and the post/wait wrappers below do exactly that, so callers never
+// touch a Core bare.
 #pragma once
 
 #include <memory>
@@ -59,11 +59,16 @@ class WallCluster {
                            util::ConstBytes bytes);
   core::Request* post_recv(size_t node, core::GateId gate, core::Tag tag,
                            util::MutableBytes bytes);
-  // Blocks (sleep-polling under the lock) until the request completes.
+  // Spins until the request completes, polling this node and its timers
+  // under its exec lock, then every other node whose lock is free: one
+  // thread can drive a whole cluster, and concurrent waiters never queue.
   void wait(size_t node, core::Request* req);
   void release(size_t node, core::Request* req);
 
  private:
+  // One progress pass over `node`; the caller holds its exec lock.
+  void progress(size_t node);
+
   double wait_timeout_us_;
   std::unique_ptr<drivers::ShmHub> hub_;
   std::vector<std::unique_ptr<runtime::WallClockRuntime>> runtimes_;

@@ -611,6 +611,7 @@ util::Status Core::drain(double deadline_us) {
     if (rt_.now_us() >= deadline) {
       return util::deadline_exceeded("drain deadline expired");
     }
+    poll();
     if (!rt_.advance()) {
       // The runtime went quiescent with this engine still holding
       // undelivered state (e.g. a rendezvous whose receive was never

@@ -119,9 +119,10 @@ class Core final : public ITransferFleet, private IEngine {
   void set_deadline(Request* req, double timeout_us);
 
   // Graceful drain / shutdown ----------------------------------------------
-  // Pumps the runtime until this engine is flushed: every non-failed
-  // gate's optimization window, rendezvous pipeline and retransmit
-  // windows are empty and all deferred acknowledgements have shipped.
+  // Polls the rails and pumps the runtime on the caller's thread until
+  // this engine is flushed: every non-failed gate's optimization window,
+  // rendezvous pipeline and retransmit windows are empty, all deferred
+  // acknowledgements have shipped and every transmit engine is idle.
   // Unmatched receives stay posted (the application may expect traffic
   // after the drain) and the engine remains fully usable — drain is a
   // flush, not a teardown. Returns kDeadlineExceeded when `deadline_us`

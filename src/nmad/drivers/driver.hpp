@@ -113,9 +113,10 @@ class Driver {
     (void)handler;
   }
 
-  // Drives any driver-internal progress. The simulated drivers are fully
-  // event-driven and need no polling; a production driver would reap
-  // completion queues here.
+  // Drives any driver-internal progress on the caller's thread, which
+  // holds the engine's exec lock. The simulated drivers are fully
+  // event-driven and need no polling; the shm driver reaps tx-done
+  // tokens and delivers inbound frames here.
   virtual void poll() = 0;
 };
 

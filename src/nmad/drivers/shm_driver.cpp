@@ -1,7 +1,9 @@
 #include "nmad/drivers/shm_driver.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -95,8 +97,7 @@ bool ShmHub::deposit(PeerAddr at, uint64_t cookie, size_t offset,
 // ShmDriver
 // ---------------------------------------------------------------------------
 
-ShmDriver::ShmDriver(ShmHub& hub, PeerAddr self, runtime::IExecLock& exec)
-    : hub_(hub), self_(self), exec_(exec) {
+ShmDriver::ShmDriver(ShmHub& hub, PeerAddr self) : hub_(hub), self_(self) {
   NMAD_ASSERT(self < hub.endpoint_count());
   caps_.name = "shm";
   caps_.supports_gather = true;
@@ -113,18 +114,11 @@ ShmDriver::~ShmDriver() { shutdown(); }
 util::Status ShmDriver::init() {
   if (open_) return util::Status::ok();
   measure_caps();
-  stop_.store(false, std::memory_order_relaxed);
-  pump_thread_ = std::thread([this]() { pump(); });
   open_ = true;
   return util::Status::ok();
 }
 
-void ShmDriver::shutdown() {
-  if (!open_) return;
-  stop_.store(true, std::memory_order_release);
-  if (pump_thread_.joinable()) pump_thread_.join();
-  open_ = false;
-}
+void ShmDriver::shutdown() { open_ = false; }
 
 // Real figures for the strategy layer and debug_dump: the rail's
 // bandwidth is the host's memcpy bandwidth (the ring is the wire), its
@@ -183,10 +177,10 @@ ShmFrame* ShmDriver::claim_slot(PeerAddr to) {
 }
 
 void ShmDriver::arm_tx_done(CompletionFn on_tx_done) {
-  NMAD_ASSERT_MSG(tx_state_.load(std::memory_order_relaxed) == kTxIdle,
+  NMAD_ASSERT_MSG(!tx_armed_,
                   "send while the previous one is still in flight");
   tx_done_ = std::move(on_tx_done);
-  tx_state_.store(kTxArmed, std::memory_order_release);
+  tx_armed_ = true;
 }
 
 util::Status ShmDriver::send_packet(PeerAddr to,
@@ -257,68 +251,43 @@ void ShmDriver::set_bulk_rx_handler(BulkRxHandler handler) {
   bulk_rx_ = std::move(handler);
 }
 
-void ShmDriver::pump() {
-  // Spin-then-nap: a hot pingpong keeps the pump on the yield path; an
-  // idle endpoint backs off to short naps instead of burning a core.
-  unsigned idle_spins = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (pump_once()) {
-      idle_spins = 0;
-    } else if (++idle_spins < 256) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    }
-  }
-}
-
-bool ShmDriver::pump_once() {
-  bool did_work = false;
-
+void ShmDriver::poll() {
   // Tx completions: a consume token means the receiver owns our frame.
   PeerAddr token = 0;
   while (hub_.token_ring(self_).try_pop(token)) {
-    did_work = true;
-    NMAD_ASSERT_MSG(tx_state_.load(std::memory_order_acquire) == kTxArmed,
-                    "consume token without a tx in flight");
-    runtime::ExecGuard guard(exec_);
+    NMAD_ASSERT_MSG(tx_armed_, "consume token without a tx in flight");
     CompletionFn fn = std::move(tx_done_);
     tx_done_.reset();
     // Idle before the callback: the completion is exactly what elects
     // (and sends) the next packet.
-    tx_state_.store(kTxIdle, std::memory_order_release);
+    tx_armed_ = false;
     if (fn) fn();
   }
 
-  // Rx: drain every inbound ring, delivering under the exec lock.
+  // Rx: drain every inbound ring.
   const size_t n = hub_.endpoint_count();
   for (PeerAddr from = 0; from < n; ++from) {
     if (from == self_) continue;
     util::SpscRing<ShmFrame>& ring = hub_.ring(from, self_);
     while (ShmFrame* frame = ring.front()) {
-      did_work = true;
-      {
-        runtime::ExecGuard guard(exec_);
-        if (frame->kind == ShmFrame::Kind::kPacket) {
-          NMAD_ASSERT_MSG(static_cast<bool>(rx_handler_),
-                          "packet arrived before a handler was installed");
-          RxPacket packet;
-          packet.from = frame->from;
-          packet.bytes.append(frame->payload.data(), frame->len);
-          rx_handler_(std::move(packet));
+      if (frame->kind == ShmFrame::Kind::kPacket) {
+        NMAD_ASSERT_MSG(static_cast<bool>(rx_handler_),
+                        "packet arrived before a handler was installed");
+        RxPacket packet;
+        packet.from = frame->from;
+        packet.bytes.append(frame->payload.data(), frame->len);
+        rx_handler_(std::move(packet));
+      } else {
+        if (bulk_rx_) bulk_rx_(frame->from);
+        BulkSink* sink =
+            frame->orphan ? nullptr : hub_.find_sink(self_, frame->cookie);
+        if (sink != nullptr) {
+          sink->note_deposited(frame->offset, frame->len);
+        } else if (bulk_orphan_) {
+          bulk_orphan_(frame->from, frame->cookie, frame->offset,
+                       frame->len);
         } else {
-          if (bulk_rx_) bulk_rx_(frame->from);
-          BulkSink* sink =
-              frame->orphan ? nullptr
-                            : hub_.find_sink(self_, frame->cookie);
-          if (sink != nullptr) {
-            sink->note_deposited(frame->offset, frame->len);
-          } else if (bulk_orphan_) {
-            bulk_orphan_(frame->from, frame->cookie, frame->offset,
-                         frame->len);
-          } else {
-            NMAD_ASSERT_MSG(false, "orphan bulk slice without a handler");
-          }
+          NMAD_ASSERT_MSG(false, "orphan bulk slice without a handler");
         }
       }
       const PeerAddr sender = frame->from;
@@ -329,7 +298,6 @@ bool ShmDriver::pump_once() {
       NMAD_ASSERT_MSG(pushed, "tx-done token ring overflow");
     }
   }
-  return did_work;
 }
 
 }  // namespace nmad::drivers

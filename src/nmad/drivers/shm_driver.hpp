@@ -1,26 +1,25 @@
-// ShmDriver: the first wall-clock transport — threaded shared-memory
-// rails inside one process.
+// ShmDriver: the first wall-clock transport — shared-memory rails inside
+// one process.
 //
 // A ShmHub is one rail's fabric: for every directed endpoint pair it owns
 // a bounded SPSC ring of fixed-size frame slots (util::SpscRing), and for
 // every endpoint a registry of posted bulk sinks. Track-0 packets are
 // gather-copied into a ring slot by the sender and copied out by the
-// receiver's pump thread — the ring *is* the wire. Track-1 rendezvous
-// slices exploit the shared address space like RDMA exploits the remote
-// one: the sender copies the body straight into the posted sink region
-// (under the hub's sink-registry lock) and enqueues a payload-free
-// "deposit note"; the receiver's pump then runs the sink's interval-merge
-// and ack machinery under the engine's exec lock. A slice whose sink is
-// gone at send time travels as an orphan note, surfacing through the
-// same orphan hook the simulated NIC uses.
+// receiver's poll() — the ring *is* the wire. Track-1 rendezvous slices
+// exploit the shared address space like RDMA exploits the remote one: the
+// sender copies the body straight into the posted sink region (under the
+// hub's sink-registry lock) and enqueues a payload-free "deposit note";
+// the receiver's poll() then runs the sink's interval-merge and ack
+// machinery. A slice whose sink is gone at send time travels as an orphan
+// note, surfacing through the same orphan hook the simulated NIC uses.
 //
-// Threading: each endpoint runs one pump thread. It drains the inbound
-// rings and delivers everything under the runtime's IExecLock — the same
-// serialization contract the WallClockRuntime's timer thread follows, so
-// exactly one thread is ever inside a Core. Tx-done completions fire when
-// the *receiver* consumes the frame: the consuming pump pushes a token
-// into the sender's MPSC completion ring and the sender's own pump fires
-// the callback under its exec lock. send_* never invoke the engine
+// Threading: the driver owns no thread. poll() is the paper's poll entry
+// point: it drains the inbound rings and fires tx-done completions on the
+// caller's thread, which already holds the endpoint's exec lock (the
+// thread waiting on the endpoint drives it through Core::poll). Tx-done
+// completions fire when the *receiver* consumes the frame: the consuming
+// poll pushes a token into the sender's MPSC completion ring and the
+// sender's own poll fires the callback. send_* never invoke the engine
 // reentrantly, and — because the engine keeps a single packet in flight
 // per rail — no directed ring ever holds more than one un-acked frame,
 // so a full ring cannot wedge two flooding endpoints against each other.
@@ -31,16 +30,13 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "nmad/drivers/driver.hpp"
-#include "nmad/runtime/runtime.hpp"
 #include "util/ring.hpp"
 
 namespace nmad::drivers {
@@ -78,8 +74,8 @@ class ShmHub {
 
   [[nodiscard]] util::SpscRing<ShmFrame>& ring(PeerAddr from, PeerAddr to);
 
-  // Tx-done tokens for endpoint `at`: every pump that consumes one of
-  // its frames pushes here (hence multi-producer), its own pump drains.
+  // Tx-done tokens for endpoint `at`: every poll that consumes one of
+  // its frames pushes here (hence multi-producer), its own poll drains.
   [[nodiscard]] util::MpscRing<PeerAddr>& token_ring(PeerAddr at);
 
   // Sink registry (one per destination endpoint, lock per endpoint).
@@ -108,21 +104,17 @@ class ShmHub {
 
 class ShmDriver final : public Driver {
  public:
-  // `exec` is the engine's serialization lock (the WallClockRuntime); the
-  // pump thread enters the engine only under it.
-  ShmDriver(ShmHub& hub, PeerAddr self, runtime::IExecLock& exec);
+  ShmDriver(ShmHub& hub, PeerAddr self);
   ~ShmDriver() override;
 
   [[nodiscard]] const DriverCaps& caps() const override { return caps_; }
 
   // Self-measures the rail's real figures — memcpy bandwidth and
-  // cross-thread wake latency — into caps() before starting the pump.
+  // cross-thread wake latency — into caps().
   [[nodiscard]] util::Status init() override;
   void shutdown() override;
 
-  [[nodiscard]] bool tx_idle() const override {
-    return tx_state_.load(std::memory_order_acquire) == kTxIdle;
-  }
+  [[nodiscard]] bool tx_idle() const override { return !tx_armed_; }
 
   util::Status send_packet(PeerAddr to, const util::SegmentVec& segments,
                            CompletionFn on_tx_done) override;
@@ -136,15 +128,11 @@ class ShmDriver final : public Driver {
   void set_bulk_orphan_handler(BulkOrphanHandler handler) override;
   void set_bulk_rx_handler(BulkRxHandler handler) override;
 
-  // Progress lives on the pump thread; poll is a no-op.
-  void poll() override {}
+  // Fires the tx-done completions whose consume token came back, then
+  // delivers every inbound frame. Caller holds the exec lock.
+  void poll() override;
 
  private:
-  static constexpr uint8_t kTxIdle = 0;
-  static constexpr uint8_t kTxArmed = 1;
-
-  void pump();
-  bool pump_once();
   // Claims a slot in the self→to ring, spinning out the (rare) full-ring
   // backpressure window.
   ShmFrame* claim_slot(PeerAddr to);
@@ -153,23 +141,20 @@ class ShmDriver final : public Driver {
 
   ShmHub& hub_;
   const PeerAddr self_;
-  runtime::IExecLock& exec_;
   DriverCaps caps_;
 
   RxHandler rx_handler_;
   BulkOrphanHandler bulk_orphan_;
   BulkRxHandler bulk_rx_;
 
-  // Single in-flight tx (the engine only elects into an idle NIC). The
-  // engine arms under the exec lock; the pump fires the completion under
-  // it too once the consume token comes back, so the handoff needs only
-  // the release/acquire pair on tx_state_.
-  std::atomic<uint8_t> tx_state_{kTxIdle};
+  // Single in-flight tx (the engine only elects into an idle NIC). Armed
+  // by send_*, disarmed by poll() once the consume token comes back —
+  // both under this endpoint's exec lock; the token ring orders the
+  // receiver's consume before the disarm.
+  bool tx_armed_ = false;
   CompletionFn tx_done_;
 
-  std::atomic<bool> stop_{false};
   bool open_ = false;
-  std::thread pump_thread_;
 };
 
 }  // namespace nmad::drivers

@@ -10,8 +10,9 @@
 //    Byte-identical to the engine calling SimWorld directly — same
 //    schedule-call sequence, same generation-stamped ids, same replay of
 //    every seed and BENCH artifact.
-//  - WallClockRuntime: steady_clock time plus a timer wheel pumped by a
-//    progress thread, for real transports (the shm driver).
+//  - WallClockRuntime: steady_clock time plus a timer wheel that fires
+//    in advance(), on the thread that drives the engine, for real
+//    transports (the shm driver).
 //
 // Nothing in this header may depend on simnet: this is the line that
 // keeps `src/nmad/core/` simulation-free (lint-enforced in check.sh).
@@ -96,18 +97,19 @@ class IRuntime {
 
   [[nodiscard]] virtual TimerStats timer_stats() const = 0;
 
-  // Makes progress for blocking helpers (Core::drain): runs one pending
-  // event for the simulation, or briefly yields for wall-clock runtimes
-  // whose progress lives on pump threads. Returns false when no further
-  // progress is possible without external input.
+  // Makes progress for blocking helpers (Core::drain, waits): runs one
+  // pending event for the simulation, or fires every due timer in place
+  // for wall-clock runtimes (the caller holds the exec lock). Returns
+  // false when no further progress is possible without external input.
   virtual bool advance() = 0;
 };
 
-// Serializes every engine entry point when driver/pump threads exist.
-// The engine itself is single-threaded by contract: the wall-clock
-// runtime's timer thread, the shm driver's rx pump threads and the
-// application thread all take this lock around any call into the Core.
-// The simulation implements it as a no-op (one thread, one world).
+// Serializes engine entry when several application threads drive one
+// endpoint. The engine itself is single-threaded by contract: on the
+// wall clock the thread that waits drives the engine (Core::poll, then
+// advance()) and holds this lock while it does, so the lock only
+// serialises waiters that run at once. The simulation implements it as
+// a no-op (one thread, one world).
 class IExecLock {
  public:
   virtual ~IExecLock() = default;

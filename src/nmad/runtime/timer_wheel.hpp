@@ -5,9 +5,10 @@
 // stamped slots, nodes come from grow-only slabs so the steady-state hot
 // path never allocates — but tuned for wall-clock use: fixed-width time
 // buckets (`tick_us`), a cursor that walks virtual buckets, and a
-// pop-based API (`pop_due`) so the caller can drop the wheel lock before
-// running the callback. Single-threaded by itself; WallClockRuntime
-// wraps it in a mutex and pumps it from a progress thread.
+// pop-based API (`pop_due`) so a callback runs with the wheel already
+// consistent and may schedule or cancel freely. Single-threaded:
+// WallClockRuntime guards it with the exec lock and pops it from
+// advance().
 #pragma once
 
 #include <cstdint>

@@ -9,22 +9,7 @@ WallClockRuntime::WallClockRuntime(Options options)
       local_id_(options.local_id),
       incarnation_(options.incarnation),
       cpu_(*this),
-      wheel_(options.tick_us) {
-  if (options.background_thread) {
-    pump_thread_ = std::thread([this] { pump(); });
-  }
-}
-
-WallClockRuntime::~WallClockRuntime() {
-  stop_.store(true, std::memory_order_release);
-  {
-    // The pump waits on the cv with the wheel lock held; taking it here
-    // orders the stop flag before the notify, so the wakeup is not lost.
-    std::lock_guard<std::mutex> wl(wheel_mu_);
-    wheel_cv_.notify_all();
-  }
-  if (pump_thread_.joinable()) pump_thread_.join();
-}
+      wheel_(options.tick_us) {}
 
 double WallClockRuntime::now_us() const {
   const auto dt = std::chrono::steady_clock::now() - epoch_;
@@ -32,13 +17,7 @@ double WallClockRuntime::now_us() const {
 }
 
 TimerId WallClockRuntime::schedule_at(double at_us, TimerFn fn) {
-  TimerId id;
-  {
-    std::lock_guard<std::mutex> wl(wheel_mu_);
-    id = wheel_.schedule_at(std::max(at_us, 0.0), std::move(fn));
-    wheel_cv_.notify_all();  // a new deadline may be the earliest
-  }
-  return id;
+  return wheel_.schedule_at(std::max(at_us, 0.0), std::move(fn));
 }
 
 TimerId WallClockRuntime::schedule_after(double delay_us, TimerFn fn) {
@@ -46,64 +25,21 @@ TimerId WallClockRuntime::schedule_after(double delay_us, TimerFn fn) {
 }
 
 void WallClockRuntime::defer(TimerFn fn) {
-  // A zero-delay timer: fires on the pump thread, off the caller's stack.
+  // A zero-delay timer: fires on the next advance(), off the caller's
+  // stack.
   schedule_at(now_us(), std::move(fn));
 }
 
-void WallClockRuntime::cancel(TimerId id) {
-  std::lock_guard<std::mutex> wl(wheel_mu_);
-  wheel_.cancel(id);
-}
-
-TimerStats WallClockRuntime::timer_stats() const {
-  std::lock_guard<std::mutex> wl(wheel_mu_);
-  return wheel_.stats();
-}
-
-size_t WallClockRuntime::poll_timers() {
-  size_t fired = 0;
-  // Exec first, wheel second — the lock order every thread uses. Holding
-  // exec across the whole batch gives sim-equivalent cancel semantics: a
-  // callback cancelling a not-yet-fired due timer really stops it.
-  std::lock_guard<std::mutex> eg(exec_mu_);
-  for (;;) {
-    TimerFn fn;
-    {
-      std::lock_guard<std::mutex> wl(wheel_mu_);
-      if (!wheel_.pop_due(now_us(), &fn)) break;
-    }
-    fn();
-    ++fired;
-  }
-  return fired;
-}
+void WallClockRuntime::cancel(TimerId id) { wheel_.cancel(id); }
 
 bool WallClockRuntime::advance() {
-  if (pump_thread_.joinable()) {
-    // Progress happens on the pump and driver threads; just yield.
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-  } else {
-    poll_timers();
-  }
-  return true;
-}
-
-void WallClockRuntime::pump() {
-  std::unique_lock<std::mutex> wl(wheel_mu_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    const double next = wheel_.next_deadline();
-    const double now = now_us();
-    if (next > now) {
-      // Sleep until the earliest deadline (capped so shutdown and
-      // far-future timers stay responsive) or a new timer arrives.
-      const double wait_us = std::min(next - now, 1000.0);
-      wheel_cv_.wait_for(
-          wl, std::chrono::duration<double, std::micro>(wait_us));
-      continue;
-    }
-    wl.unlock();
-    poll_timers();
-    wl.lock();
+  // Popping one timer at a time keeps sim-equivalent cancel semantics: a
+  // callback cancelling a not-yet-fired due timer really stops it.
+  const double now = now_us();
+  for (;;) {
+    TimerFn fn;
+    if (!wheel_.pop_due(now, &fn)) return true;
+    fn();
   }
 }
 

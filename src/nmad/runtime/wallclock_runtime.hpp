@@ -1,24 +1,24 @@
 // WallClockRuntime: real time for real transports.
 //
 // now_us() is steady_clock microseconds since construction; timers live
-// in a hashed TimerWheel pumped by a background progress thread. Because
-// real drivers deliver from their own pump threads, the runtime also
-// provides the exec lock (IExecLock) that serializes every entry into
-// the engine: the timer thread fires callbacks under it, driver rx
-// threads deliver under it, and the application thread wraps its
-// isend/irecv/poll calls in it. The engine itself stays single-threaded
-// by contract — exactly one thread is ever inside a Core.
+// in a hashed TimerWheel. There is no background thread: timers fire in
+// advance(), on the thread that drives the engine (a waiter or a drain),
+// so wall-clock timers — acks, heartbeats, deadlines — run only while
+// some thread waits on or drains this endpoint.
+//
+// The runtime also provides the exec lock (IExecLock) of its endpoint.
+// Every engine entry — isend/irecv/release, Core::poll, advance() — holds
+// it, so the engine stays single-threaded by contract: exactly one thread
+// is ever inside a Core. The lock only serialises waiters that run at
+// once; try_lock lets a waiter help another endpoint without queueing.
 //
 // Host cost modelling is a no-op here: the host really performs the
 // memcpys, so charge()/charge_memcpy() just return the current time.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 
 #include "nmad/runtime/runtime.hpp"
 #include "nmad/runtime/timer_wheel.hpp"
@@ -29,21 +29,18 @@ class WallClockRuntime final : public IRuntime, public IExecLock {
  public:
   struct Options {
     double tick_us = 50.0;  // timer-wheel bucket width
-    // Without the thread the owner pumps poll_timers() itself —
-    // deterministic single-threaded mode for tests.
-    bool background_thread = true;
     uint32_t local_id = 0;
     uint32_t incarnation = 0;
   };
 
   WallClockRuntime() : WallClockRuntime(Options{}) {}
   explicit WallClockRuntime(Options options);
-  ~WallClockRuntime() override;
 
   WallClockRuntime(const WallClockRuntime&) = delete;
   WallClockRuntime& operator=(const WallClockRuntime&) = delete;
 
-  // IRuntime ----------------------------------------------------------
+  // IRuntime: every call below expects the exec lock held (or a single
+  // thread owning the endpoint outright).
   [[nodiscard]] double now_us() const override;
   TimerId schedule_at(double at_us, TimerFn fn) override;
   TimerId schedule_after(double delay_us, TimerFn fn) override;
@@ -54,24 +51,21 @@ class WallClockRuntime final : public IRuntime, public IExecLock {
     return incarnation_;
   }
   [[nodiscard]] ICpuCharge& cpu() override { return cpu_; }
-  [[nodiscard]] TimerStats timer_stats() const override;
-  // Real time passes on its own: briefly yield (or pump the wheel in
-  // threadless mode) and report "maybe more progress". Callers bound
-  // their waits with deadlines, not with this return value.
+  [[nodiscard]] TimerStats timer_stats() const override {
+    return wheel_.stats();
+  }
+  // Fires, in place, every timer due when the call starts; a timer a
+  // callback arms for "now" waits for the next call. Real time passes on
+  // its own, so the answer is always "maybe more progress": callers
+  // bound their waits with deadlines, not with this return value.
   bool advance() override;
 
-  // IExecLock ---------------------------------------------------------
+  // IExecLock (plus try_lock, so the runtime is a std Lockable).
   void lock() override { exec_mu_.lock(); }
   void unlock() override { exec_mu_.unlock(); }
-
-  // Fires every timer due at the current time (takes the exec lock).
-  // The pump thread does this continuously; threadless mode calls it
-  // explicitly. Returns the number of timers fired.
-  size_t poll_timers();
+  [[nodiscard]] bool try_lock() { return exec_mu_.try_lock(); }
 
  private:
-  void pump();
-
   class NullCpu final : public ICpuCharge {
    public:
     explicit NullCpu(WallClockRuntime& rt) : rt_(rt) {}
@@ -86,15 +80,8 @@ class WallClockRuntime final : public IRuntime, public IExecLock {
   const uint32_t local_id_;
   const uint32_t incarnation_;
   NullCpu cpu_;
-
-  mutable std::mutex wheel_mu_;  // guards wheel_ (and the cv below)
-  TimerWheel wheel_;
-  std::condition_variable wheel_cv_;
-
-  std::mutex exec_mu_;  // serializes all engine entry (see header)
-
-  std::atomic<bool> stop_{false};
-  std::thread pump_thread_;
+  TimerWheel wheel_;     // guarded by exec_mu_, like the engine
+  std::mutex exec_mu_;   // serializes all engine entry (see header)
 };
 
 }  // namespace nmad::runtime

@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,16 +9,56 @@
 
 namespace nmad::util {
 
+namespace {
+
+// strtoll / strtod that must consume the whole, non-empty text.
+template <typename T, typename Conv>
+bool parse_whole(const std::string& text, Conv conv, T* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = conv(text.c_str(), &end);
+  return errno != ERANGE && *end == '\0';
+}
+
+long long to_int(const char* s, char** end) {
+  return std::strtoll(s, end, 10);
+}
+double to_double(const char* s, char** end) { return std::strtod(s, end); }
+
+bool parses_as(CliFlags::Kind kind, const std::string& text) {
+  long long i = 0;
+  double d = 0.0;
+  uint64_t u = 0;
+  switch (kind) {
+    case CliFlags::Kind::kInt:
+      return parse_whole(text, to_int, &i);
+    case CliFlags::Kind::kDouble:
+      return parse_whole(text, to_double, &d);
+    case CliFlags::Kind::kSize:
+      return parse_size(text, &u);
+    case CliFlags::Kind::kString:
+      break;
+  }
+  return true;
+}
+
+}  // namespace
+
 void CliFlags::define(const std::string& name,
                       const std::string& default_value,
-                      const std::string& help) {
-  flags_[name] = Flag{default_value, help, /*is_bool=*/false};
+                      const std::string& help, Kind kind) {
+  NMAD_ASSERT_MSG(parses_as(kind, default_value),
+                  "flag default does not parse as its kind");
+  flags_[name] = Flag{default_value, help, /*is_bool=*/false, kind};
 }
 
 void CliFlags::define_bool(const std::string& name, bool default_value,
                            const std::string& help) {
   flags_[name] = Flag{default_value ? "true" : "false", help,
-                      /*is_bool=*/true};
+                      /*is_bool=*/true, Kind::kString};
 }
 
 Status CliFlags::parse(int argc, char** argv) {
@@ -44,13 +86,19 @@ Status CliFlags::parse(int argc, char** argv) {
     }
     if (it->second.is_bool) {
       it->second.value = has_value ? value : "true";
-    } else if (has_value) {
-      it->second.value = value;
-    } else if (i + 1 < argc) {
-      it->second.value = argv[++i];
-    } else {
-      return invalid_argument("flag --" + arg + " expects a value");
+      continue;
     }
+    if (!has_value) {
+      if (i + 1 >= argc) {
+        return invalid_argument("flag --" + arg + " expects a value");
+      }
+      value = argv[++i];
+    }
+    if (!parses_as(it->second.kind, value)) {
+      return invalid_argument("flag --" + arg + ": '" + value +
+                              "' is not a number");
+    }
+    it->second.value = value;
   }
   return ok_status();
 }
@@ -66,18 +114,31 @@ bool CliFlags::get_bool(const std::string& name) const {
   return v == "true" || v == "1" || v == "yes" || v == "on";
 }
 
+const std::string& CliFlags::value_of(const std::string& name,
+                                      Kind kind) const {
+  auto it = flags_.find(name);
+  NMAD_ASSERT_MSG(it != flags_.end() && it->second.kind == kind,
+                  "flag undeclared or declared with another kind");
+  return it->second.value;
+}
+
+// define() checked the default and parse() every given value, so the
+// numeric getters cannot fail.
 int64_t CliFlags::get_int(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+  long long out = 0;
+  parse_whole(value_of(name, Kind::kInt), to_int, &out);
+  return out;
 }
 
 double CliFlags::get_double(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+  double out = 0.0;
+  parse_whole(value_of(name, Kind::kDouble), to_double, &out);
+  return out;
 }
 
 uint64_t CliFlags::get_size(const std::string& name) const {
   uint64_t out = 0;
-  NMAD_ASSERT_MSG(parse_size(get(name), &out),
-                  "flag value is not a valid size");
+  parse_size(value_of(name, Kind::kSize), &out);
   return out;
 }
 

@@ -1,7 +1,8 @@
 // Tiny command-line flag parser for bench/example binaries.
 //
 // Supports --name=value, --name value, and boolean --name. Unknown flags
-// are an error so typos in sweep scripts fail loudly.
+// and numeric values that do not parse completely are an error, so typos
+// in sweep scripts fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +16,13 @@ namespace nmad::util {
 
 class CliFlags {
  public:
+  // A numeric kind makes parse() reject any value that does not parse
+  // completely; get_int/get_double/get_size read only their own kind.
+  enum class Kind : uint8_t { kString, kInt, kDouble, kSize };
+
   // Declare flags with defaults before parsing.
   void define(const std::string& name, const std::string& default_value,
-              const std::string& help);
+              const std::string& help, Kind kind = Kind::kString);
   void define_bool(const std::string& name, bool default_value,
                    const std::string& help);
 
@@ -41,7 +46,12 @@ class CliFlags {
     std::string value;
     std::string help;
     bool is_bool = false;
+    Kind kind = Kind::kString;
   };
+
+  // The value of `name`, which must be declared as `kind`.
+  [[nodiscard]] const std::string& value_of(const std::string& name,
+                                            Kind kind) const;
 
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_;

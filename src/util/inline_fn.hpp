@@ -26,8 +26,8 @@ namespace nmad::util {
 
 // Number of InlineFunction constructions that spilled to the heap since
 // process start. Relaxed atomic: wall-clock runs construct callables from
-// several pump threads, and the regression tests only compare snapshots
-// taken at quiescent points.
+// every thread that waits on an endpoint, and the regression tests only
+// compare snapshots taken at quiescent points.
 inline std::atomic<uint64_t> g_inline_fn_heap_allocs{0};
 [[nodiscard]] inline uint64_t inline_fn_heap_allocs() {
   return g_inline_fn_heap_allocs.load(std::memory_order_relaxed);

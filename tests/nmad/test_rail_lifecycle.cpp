@@ -5,8 +5,8 @@
 // close_gate give the engine a graceful shutdown path.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -314,6 +314,34 @@ TEST(RailLifecycle, DrainDeadlineExceedsInsteadOfHanging) {
   EXPECT_TRUE(send->done());
   EXPECT_TRUE(recv->done());
   EXPECT_TRUE(util::check_pattern({in.data(), big}, 9));
+  cluster.core(0).release(send);
+  cluster.core(1).release(recv);
+}
+
+// Without reliability nothing structural tracks a packet between its
+// election and tx-done: an eager send drained at once has left its
+// window but not the NIC, so drain must wait for the transmitter too.
+TEST(RailLifecycle, DrainWaitsForTheTransmitterToGoIdle) {
+  api::ClusterOptions options;
+  options.nodes = 2;
+  api::Cluster cluster(std::move(options));
+
+  const size_t size = 4096;
+  std::vector<std::byte> out(size), in(size, std::byte{0});
+  util::fill_pattern({out.data(), size}, 5);
+  Request* recv = cluster.core(1).irecv(cluster.gate(1, 0), Tag(5),
+                                        util::MutableBytes{in.data(), size});
+  Request* send = cluster.core(0).isend(cluster.gate(0, 1), Tag(5),
+                                        util::ConstBytes{out.data(), size});
+
+  const util::Status st = cluster.core(0).drain(1.0e6);
+  EXPECT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_TRUE(send->done()) << "drain returned OK with the send on the wire";
+
+  while (!recv->done() && cluster.world().run_one()) {
+  }
+  ASSERT_TRUE(recv->done());
+  EXPECT_TRUE(util::check_pattern({in.data(), size}, 5));
   cluster.core(0).release(send);
   cluster.core(1).release(recv);
 }

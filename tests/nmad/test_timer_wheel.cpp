@@ -3,9 +3,9 @@
 // pop in (deadline, insertion-order) order, O(1) generation-fenced
 // cancel, allocation-free steady state. The wheel is single-threaded by
 // itself, so a seeded differential run against a sorted reference model
-// pins the ordering exactly; WallClockRuntime is then driven in
-// threadless mode (background_thread = false, poll_timers pumped by the
-// test) so its schedule/cancel/defer surface is deterministic too.
+// pins the ordering exactly; WallClockRuntime fires timers only in
+// advance(), pumped here by the test, so its schedule/cancel/defer
+// surface is deterministic too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,18 +278,12 @@ TEST(TimerWheelProperty, SteadyStateIsAllocationFree) {
 }
 
 // ---------------------------------------------------------------------
-// WallClockRuntime in threadless mode: the IRuntime surface over the
-// wheel, pumped deterministically by the test.
+// WallClockRuntime: the IRuntime surface over the wheel, pumped
+// deterministically by the test through advance().
 // ---------------------------------------------------------------------
 
-WallClockRuntime::Options threadless() {
-  WallClockRuntime::Options options;
-  options.background_thread = false;
-  return options;
-}
-
 TEST(WallClockRuntime, ThreadlessScheduleCancelDefer) {
-  WallClockRuntime rt(threadless());
+  WallClockRuntime rt;
   std::vector<int> order;
 
   // defer() is a timer dated now_us(); a timer dated 0.0 (the epoch,
@@ -302,15 +296,16 @@ TEST(WallClockRuntime, ThreadlessScheduleCancelDefer) {
   rt.cancel(victim);
   rt.cancel(victim);  // double cancel: fenced, no effect
 
-  size_t fired = rt.poll_timers();
-  EXPECT_EQ(fired, 3u);
+  EXPECT_TRUE(rt.advance());
   EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
 
   // A far-future timer does not fire until real time reaches it.
   const TimerId far = rt.schedule_after(60e6, [&order] { order.push_back(3); });
-  EXPECT_EQ(rt.poll_timers(), 0u);
+  rt.advance();
+  EXPECT_EQ(order.size(), 3u);
   rt.cancel(far);
-  EXPECT_EQ(rt.poll_timers(), 0u);
+  rt.advance();
+  EXPECT_EQ(order.size(), 3u);
 
   const TimerStats stats = rt.timer_stats();
   EXPECT_EQ(stats.pending, 0u);
@@ -318,8 +313,24 @@ TEST(WallClockRuntime, ThreadlessScheduleCancelDefer) {
   EXPECT_EQ(stats.cancelled, 2u);
 }
 
+// A timer a callback arms for "now" waits for the next advance(): one
+// call fires only what was due when it started, so a self-re-arming
+// callback cannot pin the caller.
+TEST(WallClockRuntime, AdvanceFiresOnlyWhatWasDueAtEntry) {
+  WallClockRuntime rt;
+  int fired = 0;
+  rt.defer([&] {
+    ++fired;
+    rt.defer([&fired] { ++fired; });
+  });
+  rt.advance();
+  EXPECT_EQ(fired, 1);
+  rt.advance();
+  EXPECT_EQ(fired, 2);
+}
+
 TEST(WallClockRuntime, ThreadlessNowIsMonotone) {
-  WallClockRuntime rt(threadless());
+  WallClockRuntime rt;
   double last = rt.now_us();
   EXPECT_GE(last, 0.0);
   for (int i = 0; i < 1000; ++i) {
@@ -329,40 +340,18 @@ TEST(WallClockRuntime, ThreadlessNowIsMonotone) {
   }
 }
 
-// A timer scheduled slightly ahead fires once real time passes it; the
-// callback runs under the exec lock (checked by taking it ourselves).
+// A timer scheduled slightly ahead fires once real time passes it, on
+// the thread that calls advance().
 TEST(WallClockRuntime, ThreadlessTimerFiresWhenDue) {
-  WallClockRuntime rt(threadless());
+  WallClockRuntime rt;
   bool fired = false;
   rt.schedule_after(200.0, [&fired] { fired = true; });
   const double deadline = rt.now_us() + 5e6;
   while (!fired) {
     ASSERT_LT(rt.now_us(), deadline) << "timer never became due";
-    rt.poll_timers();
-  }
-  EXPECT_TRUE(fired);
-}
-
-// Background-thread mode: the pump thread fires the timer on its own;
-// the waiter only watches the flag under the exec lock.
-TEST(WallClockRuntime, BackgroundThreadFiresTimers) {
-  WallClockRuntime rt;  // background thread on by default
-  std::atomic<int> fired{0};
-  {
-    ExecGuard guard(rt);
-    rt.schedule_after(100.0, [&fired] { fired.fetch_add(1); });
-    rt.schedule_after(300.0, [&fired] { fired.fetch_add(1); });
-    const TimerId victim = rt.schedule_after(200.0, [&fired] {
-      fired.fetch_add(100);  // must never run
-    });
-    rt.cancel(victim);
-  }
-  const double deadline = rt.now_us() + 5e6;
-  while (fired.load() < 2) {
-    ASSERT_LT(rt.now_us(), deadline) << "pump thread never fired the timers";
     rt.advance();
   }
-  EXPECT_EQ(fired.load(), 2);
+  EXPECT_TRUE(fired);
 }
 
 }  // namespace

@@ -3,15 +3,19 @@
 //
 // The fig2 ping-pong size sweep runs under the protocol delivery oracle
 // (FIFO matching, payload checksums, exactly-once completion), crossing
-// the eager→rendezvous switch on the way up, and the steady-state
-// allocation contract of test_alloc_churn carries over: after warm-up,
-// ping-pong traffic touches neither the engine pools, nor the timer
-// wheel's slabs, nor the InlineFunction heap.
+// the eager→rendezvous switch on the way up, both from one thread that
+// drives every node and from two threads that each wait on their own
+// node. The steady-state allocation contract of test_alloc_churn carries
+// over: after warm-up, ping-pong traffic touches neither the engine
+// pools, nor the timer wheel's slabs, nor the InlineFunction heap. A
+// drain under the exec lock makes its own progress.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/oracle.hpp"
@@ -82,6 +86,116 @@ TEST(WallShm, Fig2SizeSweepUnderOracle) {
   const uint64_t rdv = cluster.locked(
       0, [](Core& core) { return core.stats().rdv_started; });
   EXPECT_GT(rdv, 0u);
+}
+
+// One rank of a two-thread ping-pong in the perfbench shape: the thread
+// posts and waits only on its own node; the oracle is shared, so its
+// calls take `mu`.
+void pingpong_rank(WallCluster& cluster, harness::ProtocolOracle& oracle,
+                   std::mutex& mu, int node, size_t size, uint64_t rounds) {
+  const int peer = 1 - node;
+  const GateId gate = cluster.gate(node, peer);
+  std::vector<std::byte> out(size), in(size);
+  for (uint64_t tag = 1; tag <= rounds; ++tag) {
+    // Rank 0 pings, rank 1 pongs; each payload is unique per direction.
+    util::fill_pattern({out.data(), size}, tag * 2 + node);
+    size_t ri = 0;
+    size_t si = 0;
+    Request* r = nullptr;
+    Request* s = nullptr;
+    auto post_recv = [&] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ri = oracle.recv_posted(node, peer, tag, {in.data(), size});
+      }
+      r = cluster.post_recv(node, gate, tag, {in.data(), size});
+    };
+    auto send = [&] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        si = oracle.send_posted(node, peer, tag, {out.data(), size});
+      }
+      s = cluster.post_send(node, gate, tag, {out.data(), size});
+      cluster.wait(node, s);
+      std::lock_guard<std::mutex> lock(mu);
+      oracle.send_completed(node, peer, tag, si, s->status());
+    };
+    auto wait_recv = [&] {
+      cluster.wait(node, r);
+      std::lock_guard<std::mutex> lock(mu);
+      oracle.recv_completed(node, peer, tag, ri, r->status(), size);
+    };
+    post_recv();
+    if (node == 0) {
+      send();
+      wait_recv();
+    } else {
+      wait_recv();
+      send();
+    }
+    EXPECT_TRUE(util::check_pattern({in.data(), size}, tag * 2 + peer))
+        << "node " << node << " size " << size << " round " << tag;
+    cluster.release(node, s);
+    cluster.release(node, r);
+  }
+}
+
+TEST(WallShm, TwoThreadPingPongUnderOracle) {
+  struct Case {
+    size_t size;
+    uint64_t rounds;
+  };
+  // 8 B rides eager frames; 1 MiB goes rendezvous with bulk deposits.
+  for (const Case c : {Case{8, 200}, Case{1 << 20, 8}}) {
+    WallCluster cluster(WallCluster::Options{});
+    harness::ProtocolOracle oracle;
+    std::mutex mu;
+    std::thread t1(
+        [&] { pingpong_rank(cluster, oracle, mu, 1, c.size, c.rounds); });
+    std::thread t0(
+        [&] { pingpong_rank(cluster, oracle, mu, 0, c.size, c.rounds); });
+    t0.join();
+    t1.join();
+    EXPECT_TRUE(oracle.ok()) << oracle.violations().front();
+    for (size_t n = 0; n < cluster.node_count(); ++n) {
+      cluster.locked(n, [n](Core& core) {
+        std::vector<std::string> failures;
+        EXPECT_TRUE(core.check_invariants(&failures))
+            << "node " << n << ": "
+            << (failures.empty() ? std::string() : failures.front());
+      });
+    }
+  }
+}
+
+// Drain drives the engine it drains: with a 1 MiB rendezvous send in
+// flight and a second thread waiting on the matching receive, a drain
+// under node 0's exec lock polls node 0's rail itself, and returns OK
+// only once the send has really left — not merely its window.
+TEST(WallShm, DrainUnderTheExecLockFlushesARendezvousInFlight) {
+  WallCluster cluster(WallCluster::Options{});
+  const size_t size = 1 << 20;
+  const Tag tag = 7;
+  std::vector<std::byte> out(size), in(size);
+  util::fill_pattern({out.data(), size}, tag);
+  Request* s = cluster.post_send(0, cluster.gate(0, 1), tag,
+                                 util::ConstBytes{out.data(), size});
+  std::thread receiver([&] {
+    Request* r = cluster.post_recv(1, cluster.gate(1, 0), tag,
+                                   util::MutableBytes{in.data(), size});
+    cluster.wait(1, r);
+    EXPECT_TRUE(r->status().is_ok());
+    cluster.release(1, r);
+  });
+  const util::Status st =
+      cluster.locked(0, [](Core& core) { return core.drain(5e6); });
+  EXPECT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_TRUE(cluster.locked(0, [s](Core&) { return s->done(); }))
+      << "drain returned with the send still in flight";
+  receiver.join();
+  EXPECT_TRUE(util::check_pattern({in.data(), size}, tag));
+  cluster.wait(0, s);
+  cluster.release(0, s);
 }
 
 // Steady-state witnesses across the whole wall-clock cluster: every

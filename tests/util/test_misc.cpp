@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/logging.hpp"
@@ -103,8 +106,8 @@ TEST(Table, PrettyPrintAligns) {
 TEST(Cli, ParsesFormsAndDefaults) {
   CliFlags flags;
   flags.define("net", "mx", "network");
-  flags.define("iters", "10", "iterations");
-  flags.define("size", "4K", "bytes");
+  flags.define("iters", "10", "iterations", CliFlags::Kind::kInt);
+  flags.define("size", "4K", "bytes", CliFlags::Kind::kSize);
   flags.define_bool("csv", false, "csv output");
 
   const char* argv[] = {"prog", "--net=quadrics", "--iters", "25", "--csv"};
@@ -136,6 +139,56 @@ TEST(Cli, PositionalArgsCollected) {
   ASSERT_TRUE(flags.parse(4, const_cast<char**>(argv)).is_ok());
   EXPECT_EQ(flags.positional(),
             (std::vector<std::string>{"alpha", "beta"}));
+}
+
+CliFlags numeric_flags() {
+  CliFlags flags;
+  flags.define("iters", "10", "iterations", CliFlags::Kind::kInt);
+  flags.define("fault-drop", "0", "drop probability",
+               CliFlags::Kind::kDouble);
+  flags.define("size", "4K", "bytes", CliFlags::Kind::kSize);
+  return flags;
+}
+
+TEST(Cli, NumericValuesParse) {
+  CliFlags flags = numeric_flags();
+  const char* argv[] = {"prog", "--iters=-3", "--fault-drop", "0.05",
+                        "--size=256K"};
+  ASSERT_TRUE(flags.parse(5, const_cast<char**>(argv)).is_ok());
+  EXPECT_EQ(flags.get_int("iters"), -3);
+  EXPECT_DOUBLE_EQ(flags.get_double("fault-drop"), 0.05);
+  EXPECT_EQ(flags.get_size("size"), 256u * 1024u);
+}
+
+// A value that does not parse completely is an error naming the flag
+// and the value — never a silent 0 and never an assert.
+TEST(Cli, MalformedNumbersAreErrors) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"iters", "abc"},
+      {"iters", "10x"},
+      {"iters", "1.5"},
+      {"iters", ""},
+      {"iters", " 7"},
+      {"iters", "99999999999999999999"},
+      {"fault-drop", "abc"},
+      {"fault-drop", "0.1.2"},
+      {"fault-drop", ""},
+      {"size", "4Q"},
+      {"size", "abc"},
+  };
+  for (const auto& [name, value] : bad) {
+    CliFlags flags = numeric_flags();
+    const std::string arg = "--" + name + "=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Status st = flags.parse(2, const_cast<char**>(argv));
+    ASSERT_FALSE(st.is_ok()) << arg;
+    EXPECT_NE(st.to_string().find("flag --" + name + ": '" + value +
+                                  "' is not a number"),
+              std::string::npos)
+        << st.to_string();
+    // The rejected value did not replace the default.
+    EXPECT_EQ(flags.get(name), numeric_flags().get(name));
+  }
 }
 
 TEST(Cli, BoolExplicitValue) {
